@@ -1,11 +1,9 @@
 #!/usr/bin/env python
 """Hot-path benchmark for the Volcano search engine (BENCH_search.json).
 
-Times every paper query (Q1–Q8) under six legs:
+Times every paper query (Q1–Q8) under five legs:
 
-* ``baseline``   — the seed-equivalent hot path: ``use_rule_index=False``
-  plus the projection and statistics caches switched off;
-* ``optimized``  — all engine fast paths on (the defaults);
+* ``optimized``  — the engine as it ships (its only search path);
 * ``cache_cold`` — optimized, with a :class:`PlanCache` attached, first
   call (pays the search plus the cache store);
 * ``cache_warm`` — the same optimizer asked the same query again (pure
@@ -24,10 +22,18 @@ Plus two *batch throughput* legs over the whole Q1–Q8 batch
 with a scaling-efficiency column (speedup ÷ workers).  Batch plans and
 costs must be bit-identical to serial — asserted every run.
 
-All legs must agree on the best cost — the fast paths are pure
-performance work, so any divergence is a bug and aborts the run.  Legs
-are *interleaved* across repeats (baseline, optimized, cold, warm, then
-again) and the per-leg minimum is reported, which suppresses scheduler
+The seed-equivalent ``baseline`` leg is no longer live code: the engine
+has one search path.  ``speedup_optimized`` divides the *frozen*
+quick-mode ``baseline`` median recorded in
+``benchmarks/results/history.jsonl`` (record ``aa8440f``) by this run's
+median ``optimized`` time, and is reported only in quick mode, whose
+join counts that median was measured at.
+
+All legs must agree on the best cost with the ``optimized`` leg — the
+cache and tracing layers are pure performance and observability work, so
+any divergence is a bug and aborts the run.  Legs are *interleaved*
+across repeats (optimized, cold, warm, then again) and the per-leg
+minimum is reported, which suppresses scheduler
 noise far better than timing each leg in one block.  Overhead
 percentages are the **median of per-repeat paired ratios**: each
 traced timing is divided by the untraced timing of the same repeat
@@ -60,24 +66,22 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.algebra.descriptors import set_projection_cache_enabled  # noqa: E402
 from repro.bench.harness import (  # noqa: E402
     ExperimentConfig,
     bench_environment,
     build_optimizer_pair,
 )
 from repro.bench.timing import time_callable  # noqa: E402
-from repro.catalog.statistics import set_stats_cache_enabled  # noqa: E402
 from repro.obs import NULL_TRACER, CountingTracer  # noqa: E402
+from repro.obs.history import load_history  # noqa: E402
 from repro.parallel import BatchItem, BatchOptimizer  # noqa: E402
 from repro.volcano.explain import explain_plan  # noqa: E402
 from repro.volcano.plancache import PlanCache  # noqa: E402
-from repro.volcano.search import SearchOptions, VolcanoOptimizer  # noqa: E402
+from repro.volcano.search import VolcanoOptimizer  # noqa: E402
 from repro.workloads.queries import QUERIES, make_query_instance  # noqa: E402
 
 QIDS = tuple(QUERIES)
 LEGS = (
-    "baseline",
     "optimized",
     "cache_cold",
     "cache_warm",
@@ -110,10 +114,29 @@ BATCH_MIN_SPEEDUP = 2.0
 #: receive the ruleset itself (generated rulesets do not pickle).
 BATCH_FACTORY = "repro.bench.harness:generated_ruleset"
 
+#: The run history holding the frozen seed-equivalent ``baseline`` leg:
+#: the last run (quick mode) made before that legacy search path was
+#: deleted from the engine.
+HISTORY_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "results", "history.jsonl"
+)
+FROZEN_BASELINE_SHA = "aa8440f"
 
-def _set_descriptor_caches(enabled: bool) -> None:
-    set_projection_cache_enabled(enabled)
-    set_stats_cache_enabled(enabled)
+
+def frozen_baseline() -> dict:
+    """The frozen quick-mode ``baseline`` median and where it came from."""
+    for record in load_history(HISTORY_PATH):
+        if record.git_sha.startswith(FROZEN_BASELINE_SHA) and record.mode == "quick":
+            return {
+                "median_seconds": record.legs["baseline"],
+                "git_sha": record.git_sha,
+                "generated_at": record.generated_at,
+                "mode": record.mode,
+                "source": "benchmarks/results/history.jsonl",
+            }
+    raise LookupError(
+        f"no quick-mode record {FROZEN_BASELINE_SHA} in {HISTORY_PATH}"
+    )
 
 
 def measure_query(
@@ -123,9 +146,6 @@ def measure_query(
     ruleset = pair.generated
     catalog, tree = make_query_instance(pair.schema, qid, n_joins, 0)
 
-    baseline_opt = VolcanoOptimizer(
-        ruleset, catalog, options=SearchOptions(use_rule_index=False)
-    )
     fast_opt = VolcanoOptimizer(ruleset, catalog)
     cache = PlanCache()
     cached_opt = VolcanoOptimizer(ruleset, catalog, plan_cache=cache)
@@ -138,12 +158,6 @@ def measure_query(
     trace_off_ratios = []
     trace_on_ratios = []
     for _ in range(repeats):
-        _set_descriptor_caches(False)
-        seconds, result = time_callable(lambda: baseline_opt.optimize(tree), 1)
-        best["baseline"] = min(best["baseline"], seconds)
-        costs["baseline"] = result.cost
-
-        _set_descriptor_caches(True)
         seconds, result = time_callable(lambda: fast_opt.optimize(tree), 1)
         optimized_seconds = seconds
         best["optimized"] = min(best["optimized"], seconds)
@@ -182,13 +196,13 @@ def measure_query(
         trace_on_ratios.append(seconds / optimized_seconds)
         assert counting_tracer.total > 0
 
-    reference = costs["baseline"]
+    reference = costs["optimized"]
     for leg, cost in costs.items():
         if abs(cost - reference) > 1e-9 * max(1.0, abs(reference)):
             raise AssertionError(
                 f"{qid} n={n_joins}: leg {leg!r} found cost {cost}, "
-                f"baseline found {reference} — fast paths must not change "
-                f"the plan"
+                f"optimized found {reference} — caching and tracing must "
+                f"not change the plan"
             )
 
     trace_off_overhead = 100.0 * (statistics.median(trace_off_ratios) - 1.0)
@@ -199,7 +213,6 @@ def measure_query(
         "n_joins": n_joins,
         "cost": reference,
         "seconds": {leg: best[leg] for leg in LEGS},
-        "speedup_optimized": best["baseline"] / best["optimized"],
         "speedup_warm_cache": best["optimized"] / best["cache_warm"],
         "trace_off_overhead_percent": trace_off_overhead,
         "trace_on_overhead_percent": trace_on_overhead,
@@ -300,10 +313,8 @@ def run(mode: str, repeats: int, progress=print) -> dict:
         progress(f"{qid} (n={n_joins}) ...")
         point = measure_query(build_optimizer_pair("oodb"), qid, n_joins, repeats)
         progress(
-            f"  baseline={point['seconds']['baseline']:.4f}s "
-            f"optimized={point['seconds']['optimized']:.4f}s "
+            f"  optimized={point['seconds']['optimized']:.4f}s "
             f"warm={point['seconds']['cache_warm']:.6f}s "
-            f"speedup={point['speedup_optimized']:.2f}x "
             f"warm-speedup={point['speedup_warm_cache']:.0f}x "
             f"trace-off={point['trace_off_overhead_percent']:+.2f}% "
             f"trace-on={point['trace_on_overhead_percent']:+.2f}%"
@@ -318,7 +329,11 @@ def run(mode: str, repeats: int, progress=print) -> dict:
         f"efficiency={batch['scaling_efficiency']:.0%} "
         f"(cpus={batch['cpu_count']})"
     )
-    hot = [p for p in points if p["qid"] in ("Q7", "Q8")]
+    baseline = frozen_baseline()
+    median_optimized = statistics.median(p["seconds"]["optimized"] for p in points)
+    speedup_optimized = (
+        baseline["median_seconds"] / median_optimized if mode == "quick" else None
+    )
     median_trace_off = statistics.median(
         p["trace_off_overhead_percent"] for p in points
     )
@@ -337,10 +352,8 @@ def run(mode: str, repeats: int, progress=print) -> dict:
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "environment": bench_environment(),
         "legs": {
-            "baseline": "use_rule_index=False, projection+stats caches off "
-            "(seed-equivalent hot path)",
-            "optimized": "rule index, fired bitmasks, descriptor fast "
-            "paths, pure-helper memos (defaults)",
+            "optimized": "the engine's only search path: rule index, fired "
+            "bitmasks, descriptor fast paths, pure-helper memos",
             "cache_cold": "optimized + PlanCache attached, empty cache",
             "cache_warm": "optimized + PlanCache hit",
             "trace_off": "optimized + NullTracer attached (guard-check "
@@ -353,12 +366,18 @@ def run(mode: str, repeats: int, progress=print) -> dict:
             "process workers (gated >= 2x over batch_serial when >= 4 "
             "cores are available and repeats >= 2)",
         },
+        "frozen_baseline": {
+            **baseline,
+            "note": "seed-equivalent legacy search path, no longer in the "
+            "engine; speedup_optimized divides this frozen across-query "
+            "median by this run's median optimized seconds (quick mode "
+            "only)",
+        },
         "queries": points,
         "batch": batch,
         "summary": {
-            "q7_q8_min_speedup_optimized": min(
-                p["speedup_optimized"] for p in hot
-            ),
+            "median_optimized_seconds": median_optimized,
+            "speedup_optimized": speedup_optimized,
             "min_speedup_warm_cache": min(
                 p["speedup_warm_cache"] for p in points
             ),
@@ -431,14 +450,15 @@ def main(argv=None) -> int:
         append_record(args.history, record)
         print(f"appended run record ({record.git_sha[:12]}) -> {args.history}")
 
-    floor = report["summary"]["q7_q8_min_speedup_optimized"]
+    speedup = report["summary"]["speedup_optimized"]
     warm = report["summary"]["min_speedup_warm_cache"]
     trace_off = report["summary"]["median_trace_off_overhead_percent"]
     trace_on = report["summary"]["max_trace_on_overhead_percent"]
     batch_speedup = report["summary"]["batch_speedup_4workers"]
     batch_efficiency = report["summary"]["batch_scaling_efficiency"]
+    speedup_text = "n/a (full mode)" if speedup is None else f"{speedup:.2f}x"
     print(
-        f"Q7/Q8 rule-index+caches speedup: {floor:.2f}x; "
+        f"median speedup vs frozen seed baseline: {speedup_text}; "
         f"warm plan cache: {warm:.0f}x; "
         f"tracing overhead off/on: {trace_off:+.2f}%/{trace_on:+.2f}%; "
         f"batch 4-worker speedup: {batch_speedup:.2f}x "

@@ -42,7 +42,6 @@ DEFAULT_HISTORY_PATH = os.path.join("benchmarks", "results", "history.jsonl")
 #: unbounded ones (``trace_on``) are reported but not gated — their
 #: timings are dominated by clock granularity and tracer volume.
 DEFAULT_THRESHOLDS: "dict[str, float]" = {
-    "baseline": 0.25,
     "optimized": 0.20,
     "cache_cold": 0.20,
     "trace_off": 0.20,

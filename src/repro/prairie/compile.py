@@ -97,11 +97,11 @@ _BINOP_SOURCE = {
 
 
 def _raw_copy(source: Descriptor) -> Descriptor:
-    """A value copy for the optimized ``D_new = D_old;`` codegen.
+    """A value copy for the compiled ``D_new = D_old;`` statement.
 
     Unlike :meth:`Descriptor.copy`, the projection cache is dropped:
-    optimized action code writes properties through the raw ``_values``
-    backdoor (no invalidation hook), so the clone must start uncached.
+    compiled action code writes properties through the raw ``_values``
+    dict (no invalidation hook), so the clone must start uncached.
     """
     clone = Descriptor.__new__(Descriptor)
     object.__setattr__(clone, "_schema", source._schema)
@@ -113,19 +113,24 @@ def _raw_copy(source: Descriptor) -> Descriptor:
 class _Emitter:
     """Collects generated source plus the globals it references.
 
-    With ``optimize=True`` the emitter hoists each descriptor's ``_values``
-    dict into a function-local variable at first use (rule actions touch
-    the same few descriptors many times), and compiles whole-descriptor
-    assignment to a raw value copy instead of default-construction plus
-    overwrite.  The generated behaviour is identical; only the legacy
-    (seed-equivalent) form is used when the engine's rule-index fast path
-    is off, so benchmarks can measure the difference.
+    Each descriptor's ``_values`` dict is hoisted into a function-local
+    variable at first use (rule actions touch the same few descriptors
+    many times), and whole-descriptor assignment compiles to a raw value
+    copy instead of default-construction plus overwrite.
+
+    **Write discipline.**  Generated code writes properties straight into
+    ``_values`` and never invalidates a descriptor's projection cache
+    (``Descriptor._proj_cache``).  That is safe because rule validation
+    confines writes to right-hand-side descriptors, and the engine hands
+    actions those descriptors fresh — default-constructed or produced by
+    :func:`_raw_copy`, both uncached — and projects them only after the
+    actions that write them have run.  ``tests/test_write_discipline.py``
+    checks that no cached projection goes stale.
     """
 
-    def __init__(self, helpers: HelperRegistry, optimize: bool = False) -> None:
+    def __init__(self, helpers: HelperRegistry) -> None:
         self.helpers = helpers
         self.globals: dict[str, Any] = {"DONT_CARE": DONT_CARE}
-        self.optimize = optimize
         self._locals: dict[str, str] = {}
         self._pending: "list[str]" = []
 
@@ -152,9 +157,7 @@ class _Emitter:
         if isinstance(node, DescRef):
             return f"_d[{node.desc!r}]"
         if isinstance(node, PropRef):
-            if self.optimize:
-                return f"{self._values_local(node.desc)}[{node.prop!r}]"
-            return f"_d[{node.desc!r}]._values[{node.prop!r}]"
+            return f"{self._values_local(node.desc)}[{node.prop!r}]"
         if isinstance(node, Call):
             fn_name = f"_h_{node.func}"
             if fn_name not in self.globals:
@@ -180,32 +183,19 @@ class _Emitter:
         self._pending = []
         if isinstance(stmt, AssignProp):
             expr_src = self.expr(stmt.expr)
-            if self.optimize:
-                target = self._values_local(stmt.desc)
-                return [*self._pending, f"{target}[{stmt.prop!r}] = {expr_src}"]
-            return [f"_d[{stmt.desc!r}]._values[{stmt.prop!r}] = {expr_src}"]
+            target = self._values_local(stmt.desc)
+            return [*self._pending, f"{target}[{stmt.prop!r}] = {expr_src}"]
         if isinstance(stmt, AssignDesc):
             expr_src = self.expr(stmt.expr)
-            if self.optimize:
-                # Default-constructing the target just to overwrite every
-                # value is wasted work: bind a raw value copy instead,
-                # and repoint the hoisted local at the new dict.
-                if "_rawcopy" not in self.globals:
-                    self.globals["_rawcopy"] = _raw_copy
-                lines = [
-                    *self._pending,
-                    f"_d[{stmt.desc!r}] = _new = _rawcopy({expr_src})",
-                ]
-                var = self._locals.get(stmt.desc)
-                if var is None:
-                    var = f"_v_{stmt.desc}"
-                    self._locals[stmt.desc] = var
-                lines.append(f"{var} = _new._values")
-                return lines
-            # All descriptors share one schema, so every _values dict has
-            # the same key set: a plain update is a complete overwrite.
+            # Default-constructing the target just to overwrite every value
+            # is wasted work: bind a raw value copy instead, and repoint
+            # the hoisted local at the new dict.
+            self.globals["_rawcopy"] = _raw_copy
+            self._locals[stmt.desc] = var = f"_v_{stmt.desc}"
             return [
-                f"_d[{stmt.desc!r}]._values.update(({expr_src})._values)"
+                *self._pending,
+                f"_d[{stmt.desc!r}] = _new = _rawcopy({expr_src})",
+                f"{var} = _new._values",
             ]
         raise TranslationError(f"cannot compile statement {stmt!r}")
 
@@ -221,25 +211,22 @@ def compile_block(
     block: ActionBlock,
     helpers: HelperRegistry,
     name: str = "block",
-    optimize: bool = False,
     tracer=None,
 ) -> Callable[[ActionEnv], None]:
     """Compile an action block to ``fn(env) -> None``.
 
     Falls back to the interpreter when the block contains opaque Python
-    actions (their behaviour cannot be code-generated).  ``optimize``
-    selects the hoisted-locals code shape (see :class:`_Emitter`).
-    ``tracer`` (optional) brackets the codegen+exec in a
-    ``prairie.compile_block`` span — compilation happens once at
-    translation time, so the span shows up in translation traces, never
-    in the search hot path.
+    actions (their behaviour cannot be code-generated).  ``tracer``
+    (optional) brackets the codegen+exec in a ``prairie.compile_block``
+    span — compilation happens once at translation time, so the span
+    shows up in translation traces, never in the search hot path.
     """
     with span(tracer, "prairie.compile_block", block=name):
         if any(isinstance(stmt, PyAction) for stmt in block):
             return block.execute
         if not block.statements:
             return _noop
-        emitter = _Emitter(helpers, optimize=optimize)
+        emitter = _Emitter(helpers)
         body: "list[str]" = []
         for stmt in block.statements:
             body.extend(emitter.statement(stmt))  # type: ignore[arg-type]
@@ -260,13 +247,14 @@ def compile_test(
             return _always_true
         emitter = _Emitter(helpers)
         expression = emitter.expr(test.expr)
-        source = (
-            f"def {name}(env):\n"
-            f"    _d = env.descriptors\n"
-            f"    _ctx = env.context\n"
-            f"    return bool({expression})"
-        )
-        return _compile(source, emitter, name)
+        lines = [
+            f"def {name}(env):",
+            "    _d = env.descriptors",
+            "    _ctx = env.context",
+            *(f"    {line}" for line in emitter._pending),
+            f"    return bool({expression})",
+        ]
+        return _compile("\n".join(lines), emitter, name)
 
 
 def _noop(env: ActionEnv) -> None:

@@ -165,12 +165,6 @@ def _translate_t_rule(
     appl_code = compile_block(
         rule.post_test, helpers, name="appl_code", tracer=tracer
     )
-    # A second compilation with the hoisted-locals code shape; the engine
-    # runs it on its rule-index fast path and the legacy form otherwise,
-    # so the two paths stay individually measurable.
-    appl_code_fast = compile_block(
-        rule.post_test, helpers, name="appl_code", optimize=True, tracer=tracer
-    )
 
     if not rule.pre_test.statements:
         cond_code = run_test
@@ -186,7 +180,6 @@ def _translate_t_rule(
         rhs=rule.rhs,
         cond_code=cond_code,
         appl_code=appl_code,
-        appl_code_fast=appl_code_fast,
         doc=rule.doc,
         provenance_id=mint_provenance("prairie", "t_rule", rule.name),
     )

@@ -82,6 +82,7 @@ def explain(result: OptimizationResult, verbose: bool = False) -> str:
             f" (applicable {stats['trans_rules_applicable']})",
             f"  impl rules matched  : {stats['impl_rules_matched']}"
             f" (applicable {stats['impl_rules_applicable']})",
+            f"  bindings considered : {stats['trans_considered']}",
             f"  rule firings        : {stats['trans_fired']}",
             f"  plans costed        : {stats['impl_succeeded']}",
             f"  enforcers applied   : {stats['enforcer_applied']}",

@@ -244,11 +244,7 @@ class Memo:
         return self.group(mexpr.group_id)
 
     def _encode(self, node: "Expression | StoredFileRef") -> MExpr:
-        # Hash-consed trees (repro.algebra.interning) encode through the
-        # same paths: interned leaves/nodes expose the name/op/inputs/
-        # descriptor surface this walk reads, and their descriptors are
-        # only ever read or copied here.
-        if isinstance(node, StoredFileRef) or not hasattr(node, "op"):
+        if isinstance(node, StoredFileRef):
             return self.add_file(node)
         child_groups = tuple(self._encode(c).group_id for c in node.inputs)
         mexpr = MExpr(node.op.name, child_groups, node.descriptor.copy())

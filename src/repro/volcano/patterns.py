@@ -4,8 +4,9 @@ A trans_rule's LHS is a pattern tree (:mod:`repro.algebra.patterns`); it
 may be nested (``JOIN(JOIN(?1,?2),?3)``), in which case matching an inner
 pattern node requires enumerating the m-exprs of the corresponding input
 *group*.  The matcher therefore takes an ``expand`` callback supplied by
-the search engine: given a group id, return the m-exprs to consider
-(after the engine has applied whatever exploration policy it wants).
+the search engine: given a group id and the nested pattern's root
+operator, return the m-exprs to consider (after the engine has applied
+whatever exploration policy it wants).
 
 A successful match yields a :class:`MatchBinding`:
 
@@ -17,7 +18,7 @@ A successful match yields a :class:`MatchBinding`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.algebra.descriptors import Descriptor
 from repro.algebra.patterns import PatternElem, PatternNode, PatternVar
@@ -38,14 +39,11 @@ class MatchBinding:
         return clone
 
 
-ExpandFn = Callable[[int], "list[MExpr]"]
-
-# Optional operator-filtered expansion: (group id, operator name) → the
-# group's members with that root operator, in insertion order.  When the
-# engine supplies it (the rule-index fast path), nested matching skips the
-# scan over members whose root cannot match; the plain ``expand`` callback
-# remains the semantic contract (and the only one tests must provide).
-ExpandOpFn = Callable[[int, str], "list[MExpr]"]
+# (group id, operator name) → candidate members of the group, in insertion
+# order.  The engine returns only the members with that root operator (the
+# group's by_op index); returning more is allowed, since candidates whose
+# root does not match are skipped.
+ExpandFn = Callable[[int, str], "Iterable[MExpr]"]
 
 
 def match_mexpr(
@@ -53,7 +51,6 @@ def match_mexpr(
     mexpr: MExpr,
     memo: Memo,
     expand: ExpandFn,
-    expand_op: "ExpandOpFn | None" = None,
 ) -> Iterator[MatchBinding]:
     """All bindings of ``pattern`` against ``mexpr`` (possibly several).
 
@@ -69,7 +66,7 @@ def match_mexpr(
     root.groups = {}
     root.descriptors = {pattern.descriptor: mexpr.descriptor}
     yield from _match_children(
-        pattern.inputs, mexpr.inputs, 0, root, memo, expand, expand_op
+        pattern.inputs, mexpr.inputs, 0, root, memo, expand
     )
 
 
@@ -80,7 +77,6 @@ def _match_children(
     binding: MatchBinding,
     memo: Memo,
     expand: ExpandFn,
-    expand_op: "ExpandOpFn | None",
 ) -> Iterator[MatchBinding]:
     if index == len(patterns):
         yield binding
@@ -104,22 +100,14 @@ def _match_children(
         else:
             extended.descriptors = binding.descriptors
         yield from _match_children(
-            patterns, group_ids, index + 1, extended, memo, expand, expand_op
+            patterns, group_ids, index + 1, extended, memo, expand
         )
         return
-    # Nested pattern node: try every m-expr of the input group (only the
-    # plausibly matching ones when the engine indexes members by root).
-    if expand_op is not None:
-        candidates = expand_op(gid, pattern.op_name)
-    else:
-        candidates = expand(gid)
-    for child in candidates:
-        for child_binding in _nested_match(
-            pattern, child, binding, memo, expand, expand_op
-        ):
+    # Nested pattern node: try the input group's candidate m-exprs.
+    for child in expand(gid, pattern.op_name):
+        for child_binding in _nested_match(pattern, child, binding, memo, expand):
             yield from _match_children(
-                patterns, group_ids, index + 1, child_binding, memo, expand,
-                expand_op,
+                patterns, group_ids, index + 1, child_binding, memo, expand
             )
 
 
@@ -129,7 +117,6 @@ def _nested_match(
     binding: MatchBinding,
     memo: Memo,
     expand: ExpandFn,
-    expand_op: "ExpandOpFn | None",
 ) -> Iterator[MatchBinding]:
     if mexpr.is_file or mexpr.op_name != pattern.op_name:
         return
@@ -141,7 +128,7 @@ def _nested_match(
     descriptors[pattern.descriptor] = mexpr.descriptor
     extended.descriptors = descriptors
     yield from _match_children(
-        pattern.inputs, mexpr.inputs, 0, extended, memo, expand, expand_op
+        pattern.inputs, mexpr.inputs, 0, extended, memo, expand
     )
 
 

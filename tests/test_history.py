@@ -26,7 +26,6 @@ from repro.obs.history import (
 def make_report(scale=1.0, batch_scale=1.0):
     """A miniature bench_perf_search-shaped report, timings x ``scale``."""
     legs = {
-        "baseline": 0.8,
         "optimized": 0.4,
         "cache_cold": 0.45,
         "cache_warm": 0.0001,
@@ -68,7 +67,7 @@ class TestRunRecord:
         record = make_record()
         # median across Q1/Q2/Q3 is the middle (factor 1.0) query
         assert record.legs["optimized"] == pytest.approx(0.4)
-        assert record.legs["baseline"] == pytest.approx(0.8)
+        assert record.legs["trace_on"] == pytest.approx(0.5)
         # batch legs contribute whole-batch elapsed seconds
         assert record.legs["batch_serial"] == pytest.approx(2.0)
         assert record.legs["batch_4workers"] == pytest.approx(0.8)
@@ -131,7 +130,7 @@ class TestCheckRegression:
         assert not result.ok
         failed = {v.leg for v in result.failures}
         # every gated per-query leg slowed 50% > its threshold
-        assert {"baseline", "optimized", "cache_cold", "trace_off"} <= failed
+        assert {"optimized", "cache_cold", "trace_off"} <= failed
 
     def test_ungated_legs_never_fail(self):
         history = [make_record() for _ in range(3)]

@@ -1,33 +1,20 @@
-"""Tests for hash-consing of descriptors and operator trees.
+"""Tests for hash-consing of descriptors.
 
 Covers :mod:`repro.algebra.interning` at the unit level (canonical
-descriptors, value-slot sharing, interned tree identity, memoized
-fingerprints, pickle re-interning) and at the engine level: interning
-must measurably shrink the memo's retained object count with **zero**
-change to plans or costs.
+descriptors, value-slot sharing) and at the engine level: interning must
+measurably shrink the memo's retained object count with **zero** change
+to plans or costs.
 """
-
-import pickle
 
 import pytest
 
 from repro.algebra.descriptors import Descriptor
-from repro.algebra.interning import (
-    DescriptorInterner,
-    InternedLeaf,
-    InternedNode,
-    TreeInterner,
-    clear_intern_tables,
-    fingerprint_computes,
-    intern_tree,
-    thaw_tree,
-)
+from repro.algebra.interning import DescriptorInterner
 from repro.algebra.properties import DescriptorSchema, PropertyDef, PropertyType
 from repro.bench.harness import build_optimizer_pair
-from repro.volcano.explain import explain_plan
-from repro.volcano.plancache import tree_fingerprint
-from repro.volcano.search import SearchOptions, VolcanoOptimizer
+from repro.volcano.search import VolcanoOptimizer
 from repro.workloads.queries import make_query_instance
+from tests import test_search_outcomes as golden
 
 SCHEMA = DescriptorSchema(
     [
@@ -41,13 +28,6 @@ ARGS = ("join_predicate", "attributes")
 
 def d(**values):
     return Descriptor(SCHEMA, values)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_global_table():
-    clear_intern_tables()
-    yield
-    clear_intern_tables()
 
 
 class TestDescriptorInterner:
@@ -105,120 +85,22 @@ class TestDescriptorInterner:
         assert second["attributes"] == ["a"]
 
 
-class TestTreeInterning:
-    def _tree(self, pair, qname="Q5", joins=2):
-        catalog, tree = make_query_instance(pair.schema, qname, joins, 0)
-        return catalog, tree
-
-    def test_equal_trees_intern_to_same_object(self):
-        pair = build_optimizer_pair("oodb")
-        _, tree_a = self._tree(pair)
-        _, tree_b = self._tree(pair)
-        assert intern_tree(tree_a) is intern_tree(tree_b)
-
-    def test_interned_fingerprint_matches_plain_fingerprint(self):
-        pair = build_optimizer_pair("oodb")
-        _, tree = self._tree(pair)
-        args = pair.generated.argument_properties
-        assert tree_fingerprint(
-            intern_tree(tree), args
-        ) == tree_fingerprint(tree, args)
-
-    def test_fingerprint_memoized_on_revisit(self):
-        """Re-fingerprinting an interned tree is O(1): zero fresh
-        computations, however large the shared subtree."""
-        pair = build_optimizer_pair("oodb")
-        _, tree = self._tree(pair, joins=3)
-        args = pair.generated.argument_properties
-        interned = intern_tree(tree)
-        interned.fingerprint(args)
-        before = fingerprint_computes()
-        for _ in range(10):
-            interned.fingerprint(args)
-        assert fingerprint_computes() == before
-
-    def test_shared_subtree_fingerprints_once(self):
-        """Two trees sharing an interned subtree pay for it once: the
-        second tree's fingerprint only computes its unshared spine."""
-        pair = build_optimizer_pair("oodb")
-        _, small = self._tree(pair, joins=2)
-        _, large = self._tree(pair, joins=3)
-        args = pair.generated.argument_properties
-        interned_small = intern_tree(small)
-        interned_large = intern_tree(large)
-        interned_small.fingerprint(args)
-        baseline = fingerprint_computes()
-        interned_large.fingerprint(args)
-        spine_cost = fingerprint_computes() - baseline
-        # The large tree contains the small one as a subtree wherever
-        # structure repeats; at minimum the memoized nodes are not
-        # recomputed, so the spine cost is below the full node count.
-        def count_nodes(node):
-            if isinstance(node, InternedLeaf):
-                return 1
-            return 1 + sum(count_nodes(child) for child in node.inputs)
-
-        assert spine_cost < count_nodes(interned_large) or spine_cost == 0
-
-    def test_unpickle_reconstructs_into_intern_table(self):
-        pair = build_optimizer_pair("oodb")
-        _, tree = self._tree(pair)
-        interned = intern_tree(tree)
-        clone = pickle.loads(pickle.dumps(interned))
-        assert clone is interned
-
-    def test_unpickle_into_fresh_process_table_is_self_consistent(self):
-        pair = build_optimizer_pair("oodb")
-        _, tree = self._tree(pair)
-        interned = intern_tree(tree)
-        payload = pickle.dumps(interned)
-        clear_intern_tables()  # simulate a different process
-        clone_a = pickle.loads(payload)
-        clone_b = pickle.loads(payload)
-        assert clone_a is clone_b
-        args = pair.generated.argument_properties
-        assert tree_fingerprint(clone_a, args) == tree_fingerprint(tree, args)
-
-    def test_thawed_tree_is_mutable_and_equivalent(self):
-        pair = build_optimizer_pair("oodb")
-        catalog, tree = self._tree(pair)
-        thawed = thaw_tree(intern_tree(tree))
-        args = pair.generated.argument_properties
-        assert tree_fingerprint(thawed, args) == tree_fingerprint(tree, args)
-        # Thawed descriptors are private copies: writing one must not
-        # touch the interned canonical.
-        thawed.descriptor["num_records"] = 123.0
-        assert intern_tree(tree).descriptor["num_records"] != 123.0
-
-    def test_private_table_isolated_from_global(self):
-        pair = build_optimizer_pair("oodb")
-        _, tree = self._tree(pair)
-        private = TreeInterner()
-        node = intern_tree(tree, private)
-        assert intern_tree(tree) is not node
-        assert private.stats()["nodes"] > 0
-
-
 class TestEngineIntegration:
     @pytest.mark.parametrize("qname,joins", [("Q5", 2), ("Q7", 2)])
     def test_interning_changes_nothing_and_shrinks_memo(self, qname, joins):
-        """The acceptance bar: interning on vs off gives bit-identical
-        plans and costs while retaining measurably fewer objects."""
-        pair = build_optimizer_pair("oodb")
-        results = {}
-        for enabled in (True, False):
-            catalog, tree = make_query_instance(pair.schema, qname, joins, 0)
-            result = VolcanoOptimizer(
-                pair.generated,
-                catalog,
-                options=SearchOptions(intern_descriptors=enabled),
-            ).optimize(tree)
-            results[enabled] = result
-        on, off = results[True], results[False]
-        assert on.cost == off.cost
-        assert explain_plan(on.plan) == explain_plan(off.plan)
-        assert on.stats.memo_descriptor_objects < off.stats.memo_descriptor_objects
-        assert on.stats.descriptor_values_shared > 0
+        """The acceptance bar: the always-interning engine finds the
+        golden plan, cost and memo while retaining fewer descriptor
+        objects than an uninterned memo did (both recorded in
+        ``tests/golden/search_outcomes.json``)."""
+        fixture = golden.load()
+        case_id = f"oodb/generated/{qname}/n={joins}"
+        result = golden.run_case(case_id)
+        assert golden.outcome(result) == fixture["cases"][case_id]
+        assert result.stats.descriptor_values_shared > 0
+        uninterned = fixture["uninterned_memo_descriptor_objects"][
+            f"{qname}/n={joins}"
+        ]
+        assert result.stats.memo_descriptor_objects < uninterned
 
     def test_interning_counters_surface_via_metrics(self):
         from repro.obs import MetricsRegistry

@@ -101,6 +101,7 @@ class TestExplain:
     def test_verbose_statistics(self, result):
         text = explain(result, verbose=True)
         assert "equivalence classes : 25" in text
+        assert f"bindings considered : {result.stats.trans_considered}" in text
         assert "elapsed" in text
 
     def test_explain_memo_truncation(self, result):

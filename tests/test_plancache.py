@@ -389,66 +389,26 @@ class TestCrossGroupInsert:
 
 
 class TestSearchOptionBudgets:
-    @pytest.mark.parametrize("use_rule_index", [True, False])
-    def test_max_mexprs_caps_derivation(
-        self, schema, oodb_volcano_generated, use_rule_index
-    ):
+    def test_max_mexprs_caps_derivation(self, schema, oodb_volcano_generated):
         catalog, tree = make_query_instance(schema, "Q5", 2, 0)
-        free = VolcanoOptimizer(
-            oodb_volcano_generated,
-            catalog,
-            options=SearchOptions(use_rule_index=use_rule_index),
-        ).optimize(tree)
+        free = VolcanoOptimizer(oodb_volcano_generated, catalog).optimize(tree)
         capped = VolcanoOptimizer(
             oodb_volcano_generated,
             catalog,
-            options=SearchOptions(
-                max_mexprs=30, use_rule_index=use_rule_index
-            ),
+            options=SearchOptions(max_mexprs=30),
         ).optimize(tree)
         assert capped.stats.mexprs < free.stats.mexprs
         assert capped.cost >= free.cost  # pruning never finds better plans
 
-    @pytest.mark.parametrize("use_rule_index", [True, False])
-    def test_max_groups_caps_derivation(
-        self, schema, oodb_volcano_generated, use_rule_index
-    ):
+    def test_max_groups_caps_derivation(self, schema, oodb_volcano_generated):
         catalog, tree = make_query_instance(schema, "Q5", 2, 0)
-        free = VolcanoOptimizer(
-            oodb_volcano_generated,
-            catalog,
-            options=SearchOptions(use_rule_index=use_rule_index),
-        ).optimize(tree)
+        free = VolcanoOptimizer(oodb_volcano_generated, catalog).optimize(tree)
         capped = VolcanoOptimizer(
             oodb_volcano_generated,
             catalog,
-            options=SearchOptions(
-                max_groups=12, use_rule_index=use_rule_index
-            ),
+            options=SearchOptions(max_groups=12),
         ).optimize(tree)
         assert capped.stats.groups < free.stats.groups
-
-    def test_budget_cutoff_identical_across_paths(
-        self, schema, oodb_volcano_generated
-    ):
-        """The indexed and legacy paths fire rules in the same order, so
-        a budget must cut both off at the identical point."""
-        from repro.volcano.explain import explain
-
-        catalog, tree = make_query_instance(schema, "Q5", 2, 0)
-        results = []
-        for use_rule_index in (True, False):
-            result = VolcanoOptimizer(
-                oodb_volcano_generated,
-                catalog,
-                options=SearchOptions(
-                    max_mexprs=40, use_rule_index=use_rule_index
-                ),
-            ).optimize(tree)
-            results.append(
-                (result.cost, result.stats.mexprs, explain(result, verbose=False))
-            )
-        assert results[0] == results[1]
 
     def test_stats_dict_reports_cache_counters(
         self, schema, oodb_volcano_generated

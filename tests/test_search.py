@@ -213,3 +213,23 @@ class TestBranchAndBound:
         small = optimizer.optimize(build_e1(builder, 1))
         large = optimizer.optimize(build_e1(builder, 3))
         assert large.cost > small.cost
+
+
+class TestSearchStatsExport:
+    def test_as_dict_exports_every_int_counter(self):
+        """Every integer counter reaches as_dict() (and so --metrics,
+        OpenMetrics and the explain footer) under its own name."""
+        import dataclasses
+
+        from repro.volcano.search import SearchStats
+
+        stats = SearchStats()
+        int_fields = [
+            f.name for f in dataclasses.fields(SearchStats) if f.type == "int"
+        ]
+        assert "trans_considered" in int_fields
+        for value, name in enumerate(int_fields, start=1):
+            setattr(stats, name, value)
+        exported = stats.as_dict()
+        for value, name in enumerate(int_fields, start=1):
+            assert exported.get(name) == value, name

@@ -37,7 +37,7 @@ def memo_and_root():
 
 
 def expand_all(memo):
-    return lambda gid: list(memo.group(gid).mexprs)
+    return lambda gid, op_name: list(memo.group(gid).mexprs)
 
 
 class TestFlatMatch:
@@ -125,7 +125,7 @@ class TestNestedMatch:
         memo, root = memo_and_root
         calls = []
 
-        def expand(gid):
+        def expand(gid, op_name):
             calls.append(gid)
             return list(memo.group(gid).mexprs)
 
