@@ -18,7 +18,7 @@ from typing import Any, Iterator, Mapping
 from repro.algebra.properties import DescriptorSchema, DONT_CARE
 from repro.errors import DescriptorError
 
-_RESERVED = frozenset({"_schema", "_values", "_proj_cache"})
+_RESERVED = frozenset({"_schema", "_values"})
 
 
 class Descriptor:
@@ -30,7 +30,7 @@ class Descriptor:
     DSL interpreter address properties by name strings.
     """
 
-    __slots__ = ("_schema", "_values", "_proj_cache")
+    __slots__ = ("_schema", "_values")
 
     def __init__(
         self,
@@ -39,7 +39,6 @@ class Descriptor:
     ) -> None:
         object.__setattr__(self, "_schema", schema)
         object.__setattr__(self, "_values", schema.defaults())
-        object.__setattr__(self, "_proj_cache", None)
         if values:
             for name, value in values.items():
                 self[name] = value
@@ -61,8 +60,6 @@ class Descriptor:
             raise DescriptorError(f"unknown property {name!r}")
         self._schema.validate_value(name, value)
         self._values[name] = value
-        if self._proj_cache is not None:
-            object.__setattr__(self, "_proj_cache", None)
 
     def __contains__(self, name: str) -> bool:
         return name in self._values
@@ -103,22 +100,16 @@ class Descriptor:
     # -- copy semantics ----------------------------------------------------
 
     def copy(self) -> "Descriptor":
-        """A flat copy sharing the schema (``D_new = D_old;`` in rules).
-
-        The cached projection carries over (it is an immutable tuple, so
-        the clone shares it directly): the clone's values are identical
-        until its first write, which invalidates its (private) cache.
-        """
+        """A flat copy sharing the schema (``D_new = D_old;`` in rules)."""
         clone = Descriptor.__new__(Descriptor)
         object.__setattr__(clone, "_schema", self._schema)
         object.__setattr__(clone, "_values", dict(self._values))
-        object.__setattr__(clone, "_proj_cache", self._proj_cache)
         return clone
 
     # -- pickling ----------------------------------------------------------
 
     def __getstate__(self) -> tuple:
-        """Pickle as (schema, values); the projection cache never travels.
+        """Pickle as (schema, values).
 
         Required because the default slot-state protocol restores
         attributes through ``setattr``, which this class routes into
@@ -132,7 +123,6 @@ class Descriptor:
         schema, values = state
         object.__setattr__(self, "_schema", schema)
         object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_proj_cache", None)
 
     def assign_from(self, other: "Descriptor") -> None:
         """Overwrite all of this descriptor's values with ``other``'s.
@@ -147,8 +137,6 @@ class Descriptor:
             raise DescriptorError("cannot assign descriptors across schemas")
         self._values.clear()
         self._values.update(other._values)
-        if self._proj_cache is not None:
-            object.__setattr__(self, "_proj_cache", None)
 
     # -- projections used by P2V / the Volcano engine ----------------------
 
@@ -158,19 +146,7 @@ class Descriptor:
         Used by the memo table to extract the operator-argument part of a
         descriptor, and by physical-property vectors.  List values are
         frozen to tuples so the projection is hashable.
-
-        The last projection is cached (a single ``(names, projection)``
-        slot) until the next write (``__setitem__`` / ``assign_from``);
-        the engine projects the same schema-stable names tuple against
-        unchanged descriptors constantly, and a single slot keeps the
-        bookkeeping overhead negligible for the many descriptors that are
-        projected exactly once.  The cache assumes values are never
-        mutated in place — all rule actions go through the write paths
-        above.
         """
-        cached = self._proj_cache
-        if cached is not None and (cached[0] is names or cached[0] == names):
-            return cached[1]
         values = self._values
         # Every write path preserves the schema's full key set (defaults()
         # seeds it, __setitem__ validates membership, assign_from and the
@@ -183,9 +159,7 @@ class Descriptor:
         for i, value in enumerate(out):
             if type(value) is list:
                 out[i] = tuple(value)
-        projection = tuple(out)
-        object.__setattr__(self, "_proj_cache", (names, projection))
-        return projection
+        return tuple(out)
 
     def as_dict(self) -> dict[str, Any]:
         """A plain-dict snapshot of the current values."""

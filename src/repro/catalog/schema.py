@@ -128,52 +128,36 @@ class Catalog:
     def __init__(self, files: "Iterable[StoredFileInfo] | None" = None) -> None:
         self._files: dict[str, StoredFileInfo] = {}
         self._attr_index: "dict[str, StoredFileInfo | None] | None" = None
-        self._version = 0
         # Memo table for derived statistics (selectivities, distinct-value
-        # estimates); owned by the catalog so any mutation drops it along
-        # with the version bump.  Filled by repro.catalog.statistics.
+        # estimates); owned by the catalog so any mutation drops it.
+        # Filled by repro.catalog.statistics.
         self._stats_cache: dict = {}
-        # Cached (version, token) pair for state_token().
-        self._token_cache: "tuple[int, tuple] | None" = None
+        # state_token(), computed on first use after each mutation.
+        self._token: "tuple | None" = None
         for info in files or []:
             self.add(info)
-
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter.
-
-        Every structural change (currently: adding a file) bumps it.
-        Cross-query caches (:mod:`repro.volcano.plancache`) key on the
-        version so plans computed against an older catalog state are
-        never served after the catalog changed.
-        """
-        return self._version
 
     def state_token(self) -> tuple:
         """A deterministic structural digest of the catalog's content.
 
         The tuple of this catalog's (frozen, value-comparable)
-        :class:`StoredFileInfo` entries.  Unlike object identity or the
-        :attr:`version` counter, the token survives pickling: a catalog
-        shipped to a worker process and back compares equal to the
-        original, which is how plan-cache entries merged across process
-        boundaries (:mod:`repro.parallel`) prove they were computed
-        against the same catalog state.  Cached per version; not a
-        Python ``hash()`` (those are salted per process).
+        :class:`StoredFileInfo` entries.  Any mutation changes it, and
+        unlike object identity it survives pickling: a catalog shipped
+        to a worker process and back compares equal to the original.
+        The plan cache (:mod:`repro.volcano.plancache`) validates every
+        entry by it.  Not a Python ``hash()`` (those are salted per
+        process).
         """
-        cached = self._token_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        token = tuple(self._files.values())
-        self._token_cache = (self._version, token)
-        return token
+        if self._token is None:
+            self._token = tuple(self._files.values())
+        return self._token
 
     def add(self, info: StoredFileInfo) -> StoredFileInfo:
         if info.name in self._files:
             raise CatalogError(f"duplicate stored file {info.name!r}")
         self._files[info.name] = info
         self._attr_index = None
-        self._version += 1
+        self._token = None
         self._stats_cache.clear()
         return info
 

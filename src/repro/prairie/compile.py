@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.algebra.descriptors import Descriptor
 from repro.algebra.properties import DONT_CARE
 from repro.errors import TranslationError
 from repro.obs.tracer import span
@@ -96,36 +95,14 @@ _BINOP_SOURCE = {
 }
 
 
-def _raw_copy(source: Descriptor) -> Descriptor:
-    """A value copy for the compiled ``D_new = D_old;`` statement.
-
-    Unlike :meth:`Descriptor.copy`, the projection cache is dropped:
-    compiled action code writes properties through the raw ``_values``
-    dict (no invalidation hook), so the clone must start uncached.
-    """
-    clone = Descriptor.__new__(Descriptor)
-    object.__setattr__(clone, "_schema", source._schema)
-    object.__setattr__(clone, "_values", dict(source._values))
-    object.__setattr__(clone, "_proj_cache", None)
-    return clone
-
-
 class _Emitter:
     """Collects generated source plus the globals it references.
 
     Each descriptor's ``_values`` dict is hoisted into a function-local
     variable at first use (rule actions touch the same few descriptors
-    many times), and whole-descriptor assignment compiles to a raw value
-    copy instead of default-construction plus overwrite.
-
-    **Write discipline.**  Generated code writes properties straight into
-    ``_values`` and never invalidates a descriptor's projection cache
-    (``Descriptor._proj_cache``).  That is safe because rule validation
-    confines writes to right-hand-side descriptors, and the engine hands
-    actions those descriptors fresh — default-constructed or produced by
-    :func:`_raw_copy`, both uncached — and projects them only after the
-    actions that write them have run.  ``tests/test_write_discipline.py``
-    checks that no cached projection goes stale.
+    many times), and whole-descriptor assignment compiles to a
+    :meth:`~repro.algebra.descriptors.Descriptor.copy` instead of
+    default-construction plus overwrite.
     """
 
     def __init__(self, helpers: HelperRegistry) -> None:
@@ -188,13 +165,12 @@ class _Emitter:
         if isinstance(stmt, AssignDesc):
             expr_src = self.expr(stmt.expr)
             # Default-constructing the target just to overwrite every value
-            # is wasted work: bind a raw value copy instead, and repoint
-            # the hoisted local at the new dict.
-            self.globals["_rawcopy"] = _raw_copy
+            # is wasted work: bind a copy instead, and repoint the hoisted
+            # local at the new dict.
             self._locals[stmt.desc] = var = f"_v_{stmt.desc}"
             return [
                 *self._pending,
-                f"_d[{stmt.desc!r}] = _new = _rawcopy({expr_src})",
+                f"_d[{stmt.desc!r}] = _new = {expr_src}.copy()",
                 f"{var} = _new._values",
             ]
         raise TranslationError(f"cannot compile statement {stmt!r}")

@@ -251,21 +251,6 @@ class Memo:
         canonical, _created = self.insert(mexpr)
         return canonical
 
-    # -- pickling -------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Memos pickle without their process-local hooks.
-
-        ``_emit`` may be a bound tracer method and the descriptor
-        interner is shared engine state; neither belongs to the memo's
-        value.  Cached plans (and their memos) cross process boundaries
-        in the batch optimizer, so memos must stay picklable.
-        """
-        state = self.__dict__.copy()
-        state["_emit"] = None
-        state["_descriptor_interner"] = None
-        return state
-
     # -- statistics -----------------------------------------------------------
 
     def retained_descriptor_objects(self) -> int:

@@ -6,7 +6,7 @@ memo: a service optimizing the same — or structurally identical — query
 twice repeats the whole search.  The :class:`PlanCache` closes that gap:
 a bounded, LRU-evicting map from a query's *logical identity* to its
 finished optimization result, shared across calls (and, if desired,
-across optimizer instances over the same rule set and catalog).
+across optimizer instances over the same rule set).
 
 Keying
 ------
@@ -18,22 +18,29 @@ coincide:
   identity notion the memo's duplicate elimination uses, so two trees
   that would encode to the same memo groups share a fingerprint);
 * the **required physical-property vector**;
-* the **rule set** (by object identity: a different rule set searches a
-  different plan space);
-* the **search options** (heuristics change which plan is found);
-* the **catalog and its version** — entries record the catalog object
-  and its :attr:`~repro.catalog.schema.Catalog.version` at store time;
-  any catalog mutation bumps the version and silently invalidates every
-  plan computed against the old state.  Entries additionally carry the
-  catalog's structural :meth:`~repro.catalog.schema.Catalog.state_token`
-  so entries that crossed a process boundary (where object identity is
-  lost) stay usable against a structurally identical catalog.
+* the **rule set** — the object itself: rule sets compare by identity,
+  and the key's strong reference keeps a cached rule set alive, so its
+  identity can never be reused by another;
+* the **search options** (heuristics change which plan is found).
 
-Hits return a *fresh deep copy* of the cached plan (callers may annotate
-or execute plans destructively) together with the cached cost and memo.
+Validity
+--------
+One rule: an entry is valid against a catalog exactly when the
+catalog's structural :meth:`~repro.catalog.schema.Catalog.state_token`
+equals the token recorded at store time.  Any catalog mutation changes
+the token, so plans computed against an older state are never served;
+a catalog that crossed a process boundary (a new object with the same
+content) still matches.  A token mismatch drops the entry and counts as
+a *stale* miss.
+
+Entries keep the plan, its cost, a :class:`MemoSummary` of the search
+effort (never the memo itself: a memo is orders of magnitude bigger
+than its plan) and the token.  Hits return a *fresh deep copy* of the
+cached plan (callers may annotate or execute plans destructively).
 Hit/miss counters are surfaced per-optimization through
 :class:`~repro.volcano.search.SearchStats` and cumulatively through
-:meth:`PlanCache.stats`.
+:meth:`PlanCache.stats`.  :meth:`PlanCache.snapshot` /
+:meth:`PlanCache.merge_snapshot` are the cache's portable form.
 """
 
 from __future__ import annotations
@@ -82,16 +89,15 @@ def copy_plan(plan: PlanTree) -> PlanTree:
     return plan.copy_tree()
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoSummary:
-    """A lightweight stand-in for a cached entry's full memo.
+    """What a plan-cache entry keeps of the memo that found its plan.
 
-    Plan-cache entries that cross process boundaries (snapshots merged
-    by the batch optimizer) drop their memos — a memo is an order of
-    magnitude bigger than the plan it produced — but cache hits still
-    report search-effort statistics.  The summary answers the two
-    counters the engine reads (:attr:`group_count` / :attr:`mexpr_count`)
-    and iterates as empty for tools that walk groups.
+    A memo is an order of magnitude bigger than the plan it produced,
+    but cache hits still report search-effort statistics.  The summary
+    answers the two counters the engine reads (:attr:`group_count` /
+    :attr:`mexpr_count`) and iterates as empty for tools that walk
+    groups.
     """
 
     group_count: int
@@ -106,41 +112,16 @@ class MemoSummary:
         return cls(memo.group_count, memo.mexpr_count)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CachedPlan:
-    """One plan-cache entry: the finished result plus validity metadata.
-
-    Validity is checked two ways, cheapest first: same catalog *object*
-    at the same version (the single-process fast path), else — when the
-    entry carries a ``catalog_token`` — structural equality of
-    :meth:`~repro.catalog.schema.Catalog.state_token`.  The token path
-    is what lets entries survive IPC: a worker's catalog unpickles into
-    a new object, but its token still equals the parent's.  A token hit
-    rebinds the entry to the probing catalog so later lookups take the
-    identity fast path again.
-    """
+    """One plan-cache entry: the finished result and the
+    :meth:`~repro.catalog.schema.Catalog.state_token` of the catalog it
+    was computed against (see the module docstring's *Validity*)."""
 
     plan: PlanTree
     cost: float
-    memo: Any  # repro.volcano.memo.Memo / MemoSummary (no import cycle)
-    catalog: "Catalog | None"
-    catalog_version: int
-    catalog_token: "tuple | None" = None
-
-    def is_valid(self, catalog: Catalog) -> bool:
-        if (
-            self.catalog is catalog
-            and self.catalog_version == catalog.version
-        ):
-            return True
-        if self.catalog_token is None:
-            return False
-        token = getattr(catalog, "state_token", None)
-        if token is None or self.catalog_token != token():
-            return False
-        self.catalog = catalog
-        self.catalog_version = catalog.version
-        return True
+    memo: MemoSummary
+    catalog_token: tuple
 
 
 @dataclass
@@ -150,8 +131,7 @@ class CacheSnapshot:
     Produced by :meth:`PlanCache.snapshot`, consumed by
     :meth:`PlanCache.merge_snapshot`.  ``entries`` holds
     ``(portable_key, CachedPlan)`` pairs whose keys carry the
-    ``ruleset_tag`` string in place of the process-local ``id(ruleset)``
-    and whose entries validate by catalog token only.
+    ``ruleset_tag`` string in place of the rule set object.
     """
 
     ruleset_tag: str
@@ -183,17 +163,6 @@ class PlanCache:
         self.evictions = 0
         self.merged_in = 0
 
-    # -- pickling -------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
     # -- keying ---------------------------------------------------------------
 
     @staticmethod
@@ -206,7 +175,7 @@ class PlanCache:
         """The cache key for one optimization request (catalog-independent;
         catalog validity is checked per entry at lookup time)."""
         return (
-            id(ruleset),
+            ruleset,
             options,
             required,
             tree_fingerprint(tree, ruleset.argument_properties),
@@ -219,9 +188,9 @@ class PlanCache:
     ) -> "CachedPlan | None":
         """The valid entry for ``key``, or ``None`` (counts hit/miss).
 
-        Entries stored against a mutated or different catalog are
-        discarded on sight and count as misses.  ``emit`` is an optional
-        trace hook (``tracer.emit``): a ``plan_cache_hit`` or
+        An entry whose catalog token differs from ``catalog``'s is
+        discarded on sight and counts as a stale miss.  ``emit`` is an
+        optional trace hook (``tracer.emit``): a ``plan_cache_hit`` or
         ``plan_cache_miss`` event is emitted per lookup, the miss
         carrying why (``"absent"`` or ``"stale"``).
         """
@@ -232,7 +201,7 @@ class PlanCache:
                 if emit is not None:
                     emit("plan_cache_miss", reason="absent")
                 return None
-            if not entry.is_valid(catalog):
+            if entry.catalog_token != catalog.state_token():
                 del self._entries[key]
                 self.invalidations += 1
                 self.misses += 1
@@ -256,20 +225,15 @@ class PlanCache:
     ) -> CachedPlan:
         """Cache a finished optimization (evicting LRU past the bound).
 
-        The plan is copied on the way in, so later caller-side mutation
-        of the returned plan cannot corrupt the cache.  ``emit`` is the
-        same optional trace hook :meth:`lookup` takes; a
+        The entry keeps a :class:`MemoSummary` of ``memo``, not the memo
+        itself.  The plan is copied on the way in, so later caller-side
+        mutation of the returned plan cannot corrupt the cache.  ``emit``
+        is the same optional trace hook :meth:`lookup` takes; a
         ``plan_cache_store`` event (plus one ``plan_cache_evict`` per
         displaced entry) is emitted.
         """
-        token_fn = getattr(catalog, "state_token", None)
         entry = CachedPlan(
-            plan=copy_plan(plan),
-            cost=cost,
-            memo=memo,
-            catalog=catalog,
-            catalog_version=catalog.version,
-            catalog_token=token_fn() if token_fn is not None else None,
+            copy_plan(plan), cost, MemoSummary.of(memo), catalog.state_token()
         )
         with self._lock:
             self._entries[key] = entry
@@ -289,21 +253,16 @@ class PlanCache:
         self,
         ruleset: Any,
         ruleset_tag: str,
-        include_memos: bool = False,
         emit=None,
     ) -> CacheSnapshot:
         """Export this cache's entries for ``ruleset`` in portable form.
 
-        Cache keys embed ``id(ruleset)``, which is meaningless in
-        another process (workers rebuild rule sets from a factory spec).
+        Cache keys embed the rule set object, which cannot cross a
+        process boundary (workers rebuild rule sets from a factory spec).
         The snapshot substitutes ``ruleset_tag`` — any string both sides
         agree names the rule set, conventionally the worker factory spec
-        (``"module:attr"``).  Entries are exported with their catalog
-        *token* instead of the catalog object (tokens survive pickling;
-        object identity does not) and, unless ``include_memos``, with
-        their memo reduced to a :class:`MemoSummary`.  Entries whose
-        catalog provides no token are skipped — they cannot prove
-        validity across a process boundary.
+        (``"module:attr"``).  Entries are exported as they are: they
+        already hold nothing process-local.
 
         ``emit`` is an optional resolved trace hook: when given, the
         export is bracketed by a ``plan_cache.snapshot`` span so batch
@@ -313,31 +272,11 @@ class PlanCache:
             emit("span_begin", name="plan_cache.snapshot")
             span_started = time.perf_counter()
         with self._lock:
-            items = list(self._entries.items())
-        exported = []
-        for key, entry in items:
-            if key[0] != id(ruleset):
-                continue
-            if entry.catalog_token is None:
-                continue
-            portable_key = (ruleset_tag,) + key[1:]
-            exported.append(
-                (
-                    portable_key,
-                    CachedPlan(
-                        plan=entry.plan,
-                        cost=entry.cost,
-                        memo=(
-                            entry.memo
-                            if include_memos
-                            else MemoSummary.of(entry.memo)
-                        ),
-                        catalog=None,
-                        catalog_version=-1,
-                        catalog_token=entry.catalog_token,
-                    ),
-                )
-            )
+            exported = [
+                ((ruleset_tag,) + key[1:], entry)
+                for key, entry in self._entries.items()
+                if key[0] is ruleset
+            ]
         result = CacheSnapshot(ruleset_tag=ruleset_tag, entries=exported)
         if emit is not None:
             emit(
@@ -353,11 +292,11 @@ class PlanCache:
     ) -> int:
         """Fold a snapshot's entries in; returns how many were adopted.
 
-        Portable keys are rebound to ``id(ruleset)`` (the caller asserts
-        the snapshot's tag names this rule set).  Entries already
-        present locally win — the local entry's validity bookkeeping is
-        warmer — and adopted entries enter at the MRU end, evicting LRU
-        past the bound as a normal store would.
+        Portable keys are rebound to ``ruleset`` (the caller asserts the
+        snapshot's tag names this rule set).  Entries already present
+        locally win, keeping their place in the LRU order; adopted
+        entries enter at the MRU end, evicting LRU past the bound as a
+        normal store would.
 
         ``emit``, when given, brackets the merge in a
         ``plan_cache.merge`` span (see :meth:`snapshot`).
@@ -368,7 +307,7 @@ class PlanCache:
         merged = 0
         with self._lock:
             for portable_key, entry in snapshot.entries:
-                key = (id(ruleset),) + tuple(portable_key[1:])
+                key = (ruleset,) + tuple(portable_key[1:])
                 if key in self._entries:
                     continue
                 self._entries[key] = entry
@@ -393,9 +332,9 @@ class PlanCache:
         """Drop every entry (e.g. after bulk catalog/statistics changes);
         returns how many were dropped.
 
-        Per-catalog invalidation is automatic via catalog versions; this
-        explicit hook exists for callers that mutate cost-relevant state
-        the version counter cannot see (statistics refresh, helper
+        Per-catalog invalidation is automatic via catalog state tokens;
+        this explicit hook exists for callers that mutate cost-relevant
+        state the token cannot see (statistics refresh, helper
         reconfiguration).
         """
         with self._lock:

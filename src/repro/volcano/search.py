@@ -46,7 +46,7 @@ from repro.prairie.actions import ActionEnv, LazyFreshDescriptors
 from repro.volcano.memo import Group, Memo, MExpr
 from repro.volcano.model import Enforcer, ImplRule, TransRule, VolcanoRuleSet
 from repro.volcano.patterns import MatchBinding, match_mexpr
-from repro.volcano.plancache import PlanCache, copy_plan
+from repro.volcano.plancache import MemoSummary, PlanCache, copy_plan
 from repro.volcano.properties import (
     PropertyVector,
     apply_vector,
@@ -248,12 +248,17 @@ class Winner:
 
 @dataclass
 class OptimizationResult:
-    """Everything :meth:`VolcanoOptimizer.optimize` returns."""
+    """Everything :meth:`VolcanoOptimizer.optimize` returns.
+
+    ``memo`` is the search's memo, or — when the result came from the
+    plan cache — the cached :class:`~repro.volcano.plancache.MemoSummary`
+    (its counts, no groups).
+    """
 
     plan: Union[Expression, StoredFileRef]
     cost: float
     stats: SearchStats
-    memo: Memo
+    memo: "Memo | MemoSummary"
 
     @property
     def equivalence_classes(self) -> int:

@@ -1,22 +1,26 @@
 """Tests for the cross-query plan cache and its engine integration.
 
 Covers the :class:`~repro.volcano.plancache.PlanCache` unit behaviour
-(hit/miss counting, LRU eviction, explicit and catalog-version
+(hit/miss counting, LRU eviction, explicit and catalog-state-token
 invalidation), the fingerprint keying, the optimizer's hit/miss
 statistics, and the memo's cross-group insertion guard the engine's
 duplicate elimination relies on.
 """
+
+import gc
+import weakref
 
 import pytest
 
 from repro.algebra.descriptors import Descriptor
 from repro.algebra.expressions import StoredFileRef
 from repro.algebra.properties import DescriptorSchema, PropertyDef, PropertyType
-from repro.catalog.schema import StoredFileInfo
+from repro.catalog.schema import Catalog, StoredFileInfo
 from repro.errors import SearchError
 from repro.volcano.memo import Memo, MExpr
 from repro.volcano.plancache import (
     CachedPlan,
+    MemoSummary,
     PlanCache,
     copy_plan,
     tree_fingerprint,
@@ -47,18 +51,17 @@ def file_plan(name="R1"):
     return StoredFileRef(name, d(num_records=10.0))
 
 
-class FakeCatalog:
-    """Just enough of the Catalog surface for cache unit tests."""
+#: What unit-level stores pass as the finished search's memo.
+EMPTY_MEMO = Memo(ARGS)
 
-    def __init__(self):
-        self._version = 0
 
-    @property
-    def version(self):
-        return self._version
-
-    def mutate(self):
-        self._version += 1
+def small_catalog(cardinality=100):
+    return Catalog(
+        [
+            StoredFileInfo("R1", ("a1", "b1"), cardinality),
+            StoredFileInfo("R2", ("a2", "b2"), cardinality * 2),
+        ]
+    )
 
 
 class TestTreeFingerprint:
@@ -91,9 +94,9 @@ class TestTreeFingerprint:
 class TestPlanCacheUnit:
     def test_miss_then_hit(self):
         cache = PlanCache()
-        catalog = FakeCatalog()
+        catalog = small_catalog()
         assert cache.lookup(("k",), catalog) is None
-        cache.store(("k",), file_plan(), 7.5, memo=None, catalog=catalog)
+        cache.store(("k",), file_plan(), 7.5, memo=EMPTY_MEMO, catalog=catalog)
         entry = cache.lookup(("k",), catalog)
         assert isinstance(entry, CachedPlan)
         assert entry.cost == 7.5
@@ -103,16 +106,16 @@ class TestPlanCacheUnit:
 
     def test_stored_plan_is_copied(self):
         cache = PlanCache()
-        catalog = FakeCatalog()
+        catalog = small_catalog()
         plan = file_plan()
-        entry = cache.store(("k",), plan, 1.0, memo=None, catalog=catalog)
+        entry = cache.store(("k",), plan, 1.0, memo=EMPTY_MEMO, catalog=catalog)
         assert entry.plan is not plan
 
     def test_lru_eviction_bound(self):
         cache = PlanCache(max_entries=2)
-        catalog = FakeCatalog()
+        catalog = small_catalog()
         for name in ("a", "b", "c"):
-            cache.store((name,), file_plan(), 1.0, memo=None, catalog=catalog)
+            cache.store((name,), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
         assert len(cache) == 2
         assert cache.evictions == 1
         assert ("a",) not in cache  # oldest evicted
@@ -120,35 +123,39 @@ class TestPlanCacheUnit:
 
     def test_lookup_refreshes_lru_order(self):
         cache = PlanCache(max_entries=2)
-        catalog = FakeCatalog()
-        cache.store(("a",), file_plan(), 1.0, memo=None, catalog=catalog)
-        cache.store(("b",), file_plan(), 1.0, memo=None, catalog=catalog)
+        catalog = small_catalog()
+        cache.store(("a",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
+        cache.store(("b",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
         cache.lookup(("a",), catalog)  # "a" becomes most recent
-        cache.store(("c",), file_plan(), 1.0, memo=None, catalog=catalog)
+        cache.store(("c",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
         assert ("a",) in cache
         assert ("b",) not in cache
 
-    def test_catalog_version_invalidates(self):
+    def test_catalog_mutation_invalidates(self):
         cache = PlanCache()
-        catalog = FakeCatalog()
-        cache.store(("k",), file_plan(), 1.0, memo=None, catalog=catalog)
-        catalog.mutate()
+        catalog = small_catalog()
+        cache.store(("k",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
+        catalog.add(StoredFileInfo("R3", ("a3", "b3"), 10))
         assert cache.lookup(("k",), catalog) is None
         assert cache.invalidations == 1
         assert cache.misses == 1
         assert len(cache) == 0  # stale entry dropped on sight
 
     def test_different_catalog_object_invalidates(self):
+        # A different catalog object with different content: its state
+        # token differs, so the entry is stale.
         cache = PlanCache()
-        cache.store(("k",), file_plan(), 1.0, memo=None, catalog=FakeCatalog())
-        assert cache.lookup(("k",), FakeCatalog()) is None
+        cache.store(
+            ("k",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=small_catalog()
+        )
+        assert cache.lookup(("k",), small_catalog(cardinality=999)) is None
         assert cache.invalidations == 1
 
     def test_explicit_invalidate_drops_everything(self):
         cache = PlanCache()
-        catalog = FakeCatalog()
-        cache.store(("a",), file_plan(), 1.0, memo=None, catalog=catalog)
-        cache.store(("b",), file_plan(), 1.0, memo=None, catalog=catalog)
+        catalog = small_catalog()
+        cache.store(("a",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
+        cache.store(("b",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
         assert cache.invalidate() == 2
         assert len(cache) == 0
         assert cache.lookup(("a",), catalog) is None
@@ -159,8 +166,8 @@ class TestPlanCacheUnit:
 
     def test_stats_counters(self):
         cache = PlanCache(max_entries=4)
-        catalog = FakeCatalog()
-        cache.store(("k",), file_plan(), 1.0, memo=None, catalog=catalog)
+        catalog = small_catalog()
+        cache.store(("k",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
         cache.lookup(("k",), catalog)
         cache.lookup(("missing",), catalog)
         stats = cache.stats()
@@ -331,14 +338,17 @@ class TestOptimizerIntegration:
 
     def test_evict_event_emitted(self):
         cache = PlanCache(max_entries=1)
-        catalog = FakeCatalog()
+        catalog = small_catalog()
         events = []
 
         def emit(etype, **data):
             events.append((etype, data))
 
-        cache.store(("a",), file_plan(), 1.0, memo=None, catalog=catalog, emit=emit)
-        cache.store(("b",), file_plan(), 2.0, memo=None, catalog=catalog, emit=emit)
+        for name, cost in (("a", 1.0), ("b", 2.0)):
+            cache.store(
+                (name,), file_plan(), cost, memo=EMPTY_MEMO, catalog=catalog,
+                emit=emit,
+            )
         types = [etype for etype, _ in events]
         assert types == ["plan_cache_store", "plan_cache_store", "plan_cache_evict"]
         evict = events[-1][1]
@@ -428,47 +438,36 @@ class TestSearchOptionBudgets:
 # ---------------------------------------------------------------------------
 
 
-def small_catalog(cardinality=100):
-    from repro.catalog.schema import Catalog
-
-    return Catalog(
-        [
-            StoredFileInfo("R1", ("a1", "b1"), cardinality),
-            StoredFileInfo("R2", ("a2", "b2"), cardinality * 2),
-        ]
-    )
-
-
 class TestLRUEvictionOrder:
     def test_eviction_follows_recency_exactly(self):
         """Evictions happen strictly in least-recently-*used* order:
         lookups refresh recency, stores of new keys evict the coldest."""
         cache = PlanCache(max_entries=3)
-        catalog = FakeCatalog()
+        catalog = small_catalog()
         for name in ("a", "b", "c"):
-            cache.store((name,), file_plan(), 1.0, memo=None, catalog=catalog)
+            cache.store((name,), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
         # Recency (coldest first): a, b, c.  Touch a then b.
         cache.lookup(("a",), catalog)   # -> b, c, a
         cache.lookup(("b",), catalog)   # -> c, a, b
-        cache.store(("d",), file_plan(), 1.0, memo=None, catalog=catalog)
+        cache.store(("d",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
         # d evicts the coldest, c               -> a, b, d
         assert ("c",) not in cache
         assert all(key in cache for key in (("a",), ("b",), ("d",)))
         # Re-storing an existing key refreshes it without eviction.
-        cache.store(("a",), file_plan(), 2.0, memo=None, catalog=catalog)
+        cache.store(("a",), file_plan(), 2.0, memo=EMPTY_MEMO, catalog=catalog)
         assert len(cache) == 3          # -> b, d, a
-        cache.store(("e",), file_plan(), 1.0, memo=None, catalog=catalog)
+        cache.store(("e",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
         # e evicts the coldest, b              -> d, a, e
         assert ("b",) not in cache
         assert all(key in cache for key in (("d",), ("a",), ("e",)))
 
     def test_eviction_order_deterministic_sequence(self):
         cache = PlanCache(max_entries=2)
-        catalog = FakeCatalog()
-        cache.store(("x",), file_plan(), 1.0, memo=None, catalog=catalog)
-        cache.store(("y",), file_plan(), 1.0, memo=None, catalog=catalog)
-        cache.store(("x",), file_plan(), 3.0, memo=None, catalog=catalog)
-        cache.store(("z",), file_plan(), 1.0, memo=None, catalog=catalog)
+        catalog = small_catalog()
+        cache.store(("x",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
+        cache.store(("y",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
+        cache.store(("x",), file_plan(), 3.0, memo=EMPTY_MEMO, catalog=catalog)
+        cache.store(("z",), file_plan(), 1.0, memo=EMPTY_MEMO, catalog=catalog)
         # x was refreshed by its second store, so y was evicted.
         assert ("y",) not in cache
         assert ("x",) in cache and ("z",) in cache
@@ -483,7 +482,7 @@ class TestThreadSafety:
         import threading
 
         cache = PlanCache(max_entries=16)
-        catalog = FakeCatalog()
+        catalog = small_catalog()
         errors = []
 
         def worker(worker_id):
@@ -493,7 +492,7 @@ class TestThreadSafety:
                     entry = cache.lookup(key, catalog)
                     if entry is None:
                         cache.store(
-                            key, file_plan(), float(i), memo=None,
+                            key, file_plan(), float(i), memo=EMPTY_MEMO,
                             catalog=catalog,
                         )
             except Exception as exc:  # pragma: no cover - failure path
@@ -545,9 +544,6 @@ class TestSnapshotMerge:
         entry = fresh.lookup(key, catalog)
         assert entry is not None, "merged entry must validate by token"
         assert entry.cost == result.cost
-        # Token hit rebinds to the probing catalog: second lookup takes
-        # the identity fast path.
-        assert entry.catalog is catalog
 
     def test_merged_entry_drives_cache_hit_in_engine(
         self, oodb_volcano_generated
@@ -574,14 +570,16 @@ class TestSnapshotMerge:
         assert warm.stats.plan_cache_hits == 1
         assert warm.cost == result.cost
 
-    def test_snapshot_skips_other_rulesets_and_tokenless_entries(
-        self, oodb_volcano_generated
+    def test_snapshot_skips_other_rulesets(
+        self, oodb_volcano_generated, oodb_volcano_hand
     ):
         cache = PlanCache()
-        # A tokenless (FakeCatalog) entry and a foreign-ruleset entry.
-        cache.store(("k",), file_plan(), 1.0, memo=None, catalog=FakeCatalog())
+        self._store_real_entry(cache, oodb_volcano_generated)
+        self._store_real_entry(cache, oodb_volcano_hand)
+        assert len(cache) == 2
         snap = cache.snapshot(oodb_volcano_generated, "tests:oodb")
-        assert len(snap) == 0
+        assert len(snap) == 1
+        assert snap.entries[0][0][0] == "tests:oodb"
 
     def test_merge_prefers_local_entries(self, oodb_volcano_generated):
         cache = PlanCache()
@@ -602,15 +600,35 @@ class TestSnapshotMerge:
         other = small_catalog(cardinality=999)
         assert catalog.state_token() != other.state_token()
 
-    def test_cache_survives_pickle(self):
-        import pickle
 
-        cache = PlanCache(max_entries=7)
-        cache.store(
-            ("k",), file_plan(), 2.5, memo=None, catalog=small_catalog()
+class TestEntryShape:
+    def test_cached_ruleset_stays_alive(self, schema):
+        """The key holds the rule set itself, so a rule set reachable
+        only through cache entries is never collected (and its identity
+        never reused by another rule set)."""
+        from repro.optimizers.oodb_volcano import build_oodb_volcano
+
+        catalog, tree = make_query_instance(schema, "Q5", 1, 0)
+        cache = PlanCache()
+        ruleset = build_oodb_volcano()
+        VolcanoOptimizer(ruleset, catalog, plan_cache=cache).optimize(tree)
+        alive = weakref.ref(ruleset)
+        del ruleset
+        gc.collect()
+        assert alive() is not None
+        assert next(iter(cache._entries))[0] is alive()
+
+    def test_entry_keeps_memo_summary(self, schema, oodb_volcano_generated):
+        catalog, tree = make_query_instance(schema, "Q7", 1, 0)
+        cache = PlanCache()
+        optimizer = VolcanoOptimizer(
+            oodb_volcano_generated, catalog, plan_cache=cache
         )
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.max_entries == 7
-        assert len(clone) == 1
-        # The lock is rebuilt, not copied.
-        clone.invalidate()
+        cold = optimizer.optimize(tree)
+        (entry,) = cache._entries.values()
+        assert isinstance(entry.memo, MemoSummary)
+        warm = optimizer.optimize(tree)
+        assert warm.stats.plan_cache_hits == 1
+        assert warm.memo.group_count == cold.memo.group_count
+        assert warm.memo.mexpr_count == cold.memo.mexpr_count
+        assert warm.stats.groups == cold.stats.groups
